@@ -50,11 +50,19 @@ void ServerClient::build_slot(Slot& slot) {
   Slot* s = &slot;
   const ServerOptions& opts = _server->_options;
 
-  // The handler module target: one task carrying the simulated work plus
-  // the chaos injection points.  Retry + fallback attach HERE - the policy
-  // is deep-copied by module instantiation, so a chaos exception that
-  // exhausts its retries degrades the response instead of failing the run.
-  Task handle = slot.handler.emplace([s] {
+  // The request pipeline: ingest -> validate (condition) -> handle ->
+  // respond, with the malformed branch short-circuiting to a degraded
+  // response.  Built once per slot; its acyclicity verdict is cached on the
+  // graph, so every request reuses the graph as is.
+  Task ingest = slot.pipeline.emplace([] {});
+  ingest.name("ingest");
+  Task validate = slot.pipeline.emplace(
+      [s]() -> int { return s->malformed ? 1 : 0; });
+  validate.name("validate");
+  // The handler: the simulated work plus the chaos injection points.  Retry
+  // + fallback attach here, so a chaos exception that exhausts its retries
+  // degrades the response instead of failing the run.
+  Task handle = slot.pipeline.emplace([s] {
     const int attempt = s->attempt.fetch_add(1, std::memory_order_relaxed);
     if (attempt < s->throwing_attempts) throw ChaosError{};
     if (s->stalling) busy_spin(s->_chaos_stall);
@@ -66,17 +74,6 @@ void ServerClient::build_slot(Slot& slot) {
   retry.backoff = opts.retry_backoff;
   handle.retry(retry);
   handle.fallback([s] { s->degraded.store(true, std::memory_order_relaxed); });
-
-  // The request pipeline: ingest -> validate (condition) -> process (module)
-  // -> respond, with the malformed branch short-circuiting to a degraded
-  // response.  Forward-built, so dispatch takes the O(V) fast accept.
-  Task ingest = slot.pipeline.emplace([] {});
-  ingest.name("ingest");
-  Task validate = slot.pipeline.emplace(
-      [s]() -> int { return s->malformed ? 1 : 0; });
-  validate.name("validate");
-  Task process = slot.pipeline.composed_of(slot.handler);
-  process.name("process");
   Task respond = slot.pipeline.emplace([s] {
     s->completed_at = std::chrono::steady_clock::now();
     s->responded.store(true, std::memory_order_relaxed);
@@ -90,9 +87,9 @@ void ServerClient::build_slot(Slot& slot) {
   degrade.name("degrade");
 
   ingest.precede(validate);
-  validate.precede(process);  // branch 0: valid request
+  validate.precede(handle);   // branch 0: valid request
   validate.precede(degrade);  // branch 1: malformed -> degraded response
-  process.precede(respond);
+  handle.precede(respond);
 }
 
 void ServerClient::submit(const Request& request) {

@@ -4,18 +4,17 @@
 // A Server owns one tf::Executor configured with admission control and
 // accepts requests from N in-process client threads.  Each client thread
 // calls Server::connect() once and submits through its ServerClient, which
-// owns a small window of *slots*; each slot is a reusable composed /
-// conditional pipeline taskflow:
+// owns a small window of *slots*; each slot is a reusable conditional
+// pipeline taskflow:
 //
-//     ingest ──> validate ──0──> [process module: handle(retry+fallback)]
-//                    │                        │
-//                    1──> degrade (respond)   └──> respond
+//     ingest ──> validate ──0──> handle(retry+fallback) ──> respond
+//                    │
+//                    1──> degrade
 //
 // `validate` is a condition task (malformed requests branch straight to the
-// degraded response); `process` is a module task composed of the slot's
-// handler taskflow (retry + fallback-to-degraded attach to the handler, so a
+// degraded response); retry + fallback-to-degraded attach to `handle`, so a
 // chaos exception that exhausts its retries still produces a degraded
-// response instead of a failure).  Each submission runs under a RunPolicy
+// response instead of a failure.  Each submission runs under a RunPolicy
 // carrying the server's deadline and the request's priority band, so the
 // executor's backpressure / shedding / fairness / breaker machinery applies
 // per request.
@@ -141,8 +140,7 @@ class ServerClient {
   /// One reusable pipeline instance.  Reused only after harvest, so the
   /// non-atomic per-request fields are never touched while in flight.
   struct Slot {
-    Taskflow handler;   // the composed "process" module target
-    Taskflow pipeline;  // ingest -> validate -> process/degrade -> respond
+    Taskflow pipeline;  // ingest -> validate -> handle -> respond | degrade
     ExecutionHandle handle;
     bool inflight{false};
 

@@ -32,6 +32,12 @@ struct TlsErrorGuard {
   TlsErrorGuard& operator=(const TlsErrorGuard&) = delete;
 };
 
+// Bump a counter only its owning worker writes: load + store, no locked RMW.
+inline void bump(std::atomic<std::size_t>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
 // One CPU relax hint (dense spin loops); falls back to a compiler barrier.
 inline void spin_pause() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -177,12 +183,12 @@ void ExecutorInterface::run_task(std::size_t worker_id, Node* node) {
         } else {
           node->_subgraph = std::make_unique<Graph>();
         }
+        Graph* target = std::get<ModuleWork>(node->_work).target;
         if (obs) obs->on_entry(worker_id, *node);
-        detail::instantiate(*std::get<ModuleWork>(node->_work).target,
-                            *node->_subgraph);
+        detail::instantiate(*target, *node->_subgraph);
         if (obs) obs->on_exit(worker_id, *node);
 
-        if (dispatch_subgraph(node, /*detached=*/false)) {
+        if (dispatch_subgraph(node, /*detached=*/false, target)) {
           return;  // finalization deferred to the last child
         }
       }
@@ -251,17 +257,21 @@ void ExecutorInterface::run_task(std::size_t worker_id, Node* node) {
   if (!ready.empty()) schedule_batch(ready.data(), ready.size());
 }
 
-bool ExecutorInterface::dispatch_subgraph(Node* node, bool detached) {
+bool ExecutorInterface::dispatch_subgraph(Node* node, bool detached,
+                                          Graph* origin) {
   Graph& sub = *node->_subgraph;
   if (sub.empty()) return false;
   // A subflow that could never complete (a pure-static cycle, or no source
   // task at all) must surface a descriptive error through the topology
-  // instead of hanging wait_for_all; condition-guarded cycles pass.
+  // instead of hanging wait_for_all; condition-guarded cycles pass.  A
+  // module copy inherits its target's verdict, and the first passing check
+  // is recorded on the target, so unchanged targets skip the sweep.
   if (std::string cycle = detail::describe_cycle(sub); !cycle.empty()) {
     throw CycleError(node->name().empty()
                          ? "spawned subflow: " + cycle
                          : "subflow of \"" + node->name() + "\": " + cycle);
   }
+  if (origin != nullptr && !origin->acyclic()) origin->set_acyclic(true);
   node->_detached = detached;
   sub.finalize_edges();  // pack spilled successor arrays (CSR step)
   // Reused per-thread scratch: the sources are consumed by schedule_batch
@@ -507,8 +517,7 @@ void WorkStealingExecutor::dump_state(std::ostream& os) const {
   os << "work-stealing executor: " << _workers.size() << " worker(s), "
      << _num_idlers.load(std::memory_order_relaxed) << " parked, central_depth="
      << _num_central.load(std::memory_order_relaxed)
-     << ", steals=" << _steals.load(std::memory_order_relaxed)
-     << ", cache_hits=" << _cache_hits.load(std::memory_order_relaxed)
+     << ", steals=" << num_steals() << ", cache_hits=" << num_cache_hits()
      << ", parks=" << _parks.load(std::memory_order_relaxed)
      << ", wakes=" << _wakes.load(std::memory_order_relaxed) << "\n";
   for (const auto& w : _workers) {
@@ -542,8 +551,8 @@ ExecutorInterface::SchedulerStats WorkStealingExecutor::stats() const {
   for (const auto& w : _workers) s.queue_depth += w->queue.size();
   s.num_idlers =
       static_cast<std::size_t>(_num_idlers.load(std::memory_order_relaxed));
-  s.steals = _steals.load(std::memory_order_relaxed);
-  s.cache_hits = _cache_hits.load(std::memory_order_relaxed);
+  s.steals = num_steals();
+  s.cache_hits = num_cache_hits();
   s.parks = _parks.load(std::memory_order_relaxed);
   s.wakes = _wakes.load(std::memory_order_relaxed);
   for (const auto& w : _workers) {
@@ -556,6 +565,13 @@ ExecutorInterface::SchedulerStats WorkStealingExecutor::stats() const {
     s.slab_placements += loc.slab_placements.load(std::memory_order_relaxed);
   }
   return s;
+}
+
+std::size_t WorkStealingExecutor::sum(
+    std::atomic<std::size_t> Worker::*counter) const noexcept {
+  std::size_t n = 0;
+  for (const auto& w : _workers) n += ((*w).*counter).load(std::memory_order_relaxed);
+  return n;
 }
 
 std::size_t WorkStealingExecutor::num_tier_steals(int tier) const noexcept {
@@ -606,7 +622,7 @@ void WorkStealingExecutor::schedule(Node* node) {
     // the current worker continues a linear chain without touching queues.
     if (_options.enable_worker_cache && w->cache == nullptr) {
       w->cache = node;
-      _cache_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(w->cache_hits);
       return;
     }
     w->queue.push(node);
@@ -640,7 +656,7 @@ void WorkStealingExecutor::schedule_batch(Node* const* nodes, std::size_t n) {
     // depth-first fast path); the rest go to the local queue in one sweep.
     if (_options.enable_worker_cache && w->cache == nullptr) {
       w->cache = nodes[0];
-      _cache_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(w->cache_hits);
       i = 1;
     }
     const std::size_t pushed = n - i;
@@ -739,7 +755,7 @@ void WorkStealingExecutor::schedule_batch_affine(Worker& w, Node* const* nodes,
   }
   if (cache != nullptr) {
     w.cache = cache;
-    _cache_hits.fetch_add(1, std::memory_order_relaxed);
+    bump(w.cache_hits);
   }
   if (pushed == 0) return;
   // One Dekker fence + one wake pass, as in the flat batch path - but the
@@ -828,7 +844,7 @@ Node* WorkStealingExecutor::steal_pass(Worker& w) {
   // the worker's own id when nothing was stolen yet.
   if (w.last_victim != w.id) {
     if (auto t = _workers[w.last_victim]->queue.steal()) {
-      _steals.fetch_add(1, std::memory_order_relaxed);
+      bump(w.steals);
       return *t;
     }
   }
@@ -839,7 +855,7 @@ Node* WorkStealingExecutor::steal_pass(Worker& w) {
     if (v == w.id) continue;
     if (auto t = _workers[v]->queue.steal()) {
       w.last_victim = v;
-      _steals.fetch_add(1, std::memory_order_relaxed);
+      bump(w.steals);
       return *t;
     }
   }
@@ -875,7 +891,7 @@ Node* WorkStealingExecutor::steal_pass_adaptive(Worker& w) {
         loc.tier_steals[static_cast<std::size_t>(t)].fetch_add(
             1, std::memory_order_relaxed);
         loc.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
-        _steals.fetch_add(1, std::memory_order_relaxed);
+        bump(w.steals);
         w.last_victim = v;
         loc.sweep_width = t;  // success this near: stay near next pass
         loc.dry_streak = 0;

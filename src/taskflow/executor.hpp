@@ -205,8 +205,10 @@ class ExecutorInterface {
   /// `node`.  Returns true when the node's finalization is deferred to the
   /// last child of a joined subflow; false when there is nothing to wait for
   /// (empty subgraph, or a detached one).  Throws CycleError on a subgraph
-  /// that could never complete.
-  bool dispatch_subgraph(Node* node, bool detached);
+  /// that could never complete.  `origin` is the module target the subgraph
+  /// was copied from: a passing check is cached there, so later expansions
+  /// of the unchanged target skip it.
+  bool dispatch_subgraph(Node* node, bool detached, Graph* origin = nullptr);
 
   /// Stop and join the timer wheel thread if one exists.  Every derived
   /// destructor MUST call this before tearing down its own scheduling state:
@@ -326,13 +328,11 @@ class WorkStealingExecutor final : public ExecutorInterface {
   }
 
   /// Total successful steals across all workers (diagnostic/ablation).
-  [[nodiscard]] std::size_t num_steals() const noexcept {
-    return _steals.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t num_steals() const noexcept { return sum(&Worker::steals); }
 
   /// Total direct cache hand-offs (speculative chain executions).
   [[nodiscard]] std::size_t num_cache_hits() const noexcept {
-    return _cache_hits.load(std::memory_order_relaxed);
+    return sum(&Worker::cache_hits);
   }
 
   /// Total times a worker parked on its condition variable (diagnostic:
@@ -395,6 +395,10 @@ class WorkStealingExecutor final : public ExecutorInterface {
   struct Worker {
     WorkStealingQueue<Node*> queue;
     Node* cache{nullptr};
+    // Diagnostic counters written only by this worker (bump(): no shared
+    // RMW on the hot path); stats() / num_*() sum them across workers.
+    std::atomic<std::size_t> steals{0};
+    std::atomic<std::size_t> cache_hits{0};
     std::condition_variable cv;
     bool idle{false};
     std::size_t id{0};
@@ -405,6 +409,8 @@ class WorkStealingExecutor final : public ExecutorInterface {
   };
 
   void worker_loop(Worker& w);
+  /// Sum of one per-worker counter over all workers.
+  [[nodiscard]] std::size_t sum(std::atomic<std::size_t> Worker::*counter) const noexcept;
   /// True when the adaptive dry streak says this worker should stop
   /// spinning and park (see WorkStealingOptions::adaptive_park_patience).
   [[nodiscard]] bool steal_exhausted(const Worker& w) const noexcept;
@@ -445,12 +451,12 @@ class WorkStealingExecutor final : public ExecutorInterface {
   std::deque<Node*> _central;         // overflow queue for external submitters
   std::vector<Worker*> _idlers;       // parked workers (Algorithm 1 line 8)
   bool _stop{false};
-  std::atomic<int> _num_idlers{0};
-  std::atomic<std::size_t> _num_central{0};  // lock-free emptiness probe of _central
+  // Read by every schedule() / claim_central(): each on its own cache line,
+  // away from the park/wake counters below.
+  alignas(64) std::atomic<int> _num_idlers{0};
+  alignas(64) std::atomic<std::size_t> _num_central{0};  // lock-free emptiness probe of _central
 
-  std::atomic<std::size_t> _steals{0};
-  std::atomic<std::size_t> _cache_hits{0};
-  std::atomic<std::size_t> _parks{0};
+  alignas(64) std::atomic<std::size_t> _parks{0};
   std::atomic<std::size_t> _wakes{0};
 };
 

@@ -601,9 +601,11 @@ Task& Task::work(C&& callable) {
   }
   // The placeholder pattern assigns work after edges exist: when the node's
   // kind flips to or from condition, its out-edges change strength, so the
-  // successors' weak-dependent counts must follow.
+  // successors' weak-dependent counts must follow and the graph's cached
+  // acyclicity verdict no longer holds.
   if (const bool now_condition = _node->is_condition();
       now_condition != was_condition) {
+    _node->_graph->set_acyclic(false);
     Node* const* succ = _node->successor_data();
     for (std::uint32_t i = 0; i < _node->_num_successors; ++i) {
       if (now_condition) {

@@ -44,6 +44,7 @@ void Node::precede(Node& v) {
   // earlier-created node (or a self-loop) breaks the "creation order is a
   // topological order" invariant, so dispatch must run the full check.
   if (v._creation_index <= _creation_index) _has_backward_edge = true;
+  _graph->set_acyclic(false);
 }
 
 void Node::grow_successors(std::uint32_t min_capacity) {
@@ -112,6 +113,7 @@ std::string cycle_label(const Node* node,
 }  // namespace
 
 std::string describe_cycle(Graph& g, std::size_t max_named) {
+  if (g.acyclic()) return {};  // unchanged since it was last accepted
   // Kahn's algorithm, reusing the join counters as scratch in-degrees.  The
   // graph is quiescent here (dispatch runs before workers see it; a subflow
   // is checked before its children are armed), so the counters can be
@@ -133,7 +135,10 @@ std::string describe_cycle(Graph& g, std::size_t max_named) {
         break;
       }
     }
-    if (forward) return {};
+    if (forward) {
+      g.set_acyclic(true);
+      return {};
+    }
   }
 
   // Cycles are legal exactly when every lap passes through a condition task
@@ -170,9 +175,11 @@ std::string describe_cycle(Graph& g, std::size_t max_named) {
     // Checked only on this path - a pure-static cycle below is the better
     // diagnostic, and the fast-accept above implies node 0 is a source.
     for (const auto& node : g) {
-      if (node._static_dependents == 0) return {};
+      if (node._static_dependents == 0) {
+        g.set_acyclic(true);
+        return {};
+      }
     }
-    if (g.empty()) return {};
     return "graph has no source task (every task has a predecessor), so no "
            "task can ever start";
   }
@@ -282,6 +289,7 @@ void instantiate(const Graph& src, Graph& dst) {
       d.precede(dst.node_at(static_cast<std::size_t>(succ->_creation_index)));
     }
   }
+  dst.set_acyclic(src.acyclic());  // an exact copy has the source's verdict
 }
 
 bool composes_transitively(const Graph& target, const Graph& owner) {

@@ -494,7 +494,8 @@ class Graph {
       : _arena(std::move(other._arena)),
         _index(std::move(other._index)),
         _names(std::move(other._names)),
-        _edges_dirty(other._edges_dirty) {
+        _edges_dirty(other._edges_dirty),
+        _acyclic(other.acyclic()) {
     for (Node* node : _index) node->_graph = this;
     other._edges_dirty = false;
   }
@@ -505,6 +506,7 @@ class Graph {
       _index = std::move(other._index);
       _names = std::move(other._names);
       _edges_dirty = other._edges_dirty;
+      set_acyclic(other.acyclic());
       for (Node* node : _index) node->_graph = this;
       other._edges_dirty = false;
     }
@@ -520,6 +522,7 @@ class Graph {
     node->_graph = this;
     node->_creation_index = static_cast<int>(_index.size());
     _index.push_back(node);
+    set_acyclic(false);
     return *node;
   }
 
@@ -567,6 +570,17 @@ class Graph {
   /// memory.  Idempotent and cheap when nothing spilled since the last call;
   /// must not run concurrently with task execution (same contract as arm()).
   void finalize_edges();
+
+  /// Cached describe_cycle verdict (DESIGN.md §6): true once accepted,
+  /// cleared by every mutation that can change it (emplace_back, precede,
+  /// clear/recycle, a condition-kind flip in Task::work).  Atomic: module
+  /// expansion records a target's verdict from worker threads.
+  [[nodiscard]] bool acyclic() const noexcept {
+    return _acyclic.load(std::memory_order_relaxed);
+  }
+  void set_acyclic(bool verdict) noexcept {
+    _acyclic.store(verdict, std::memory_order_relaxed);
+  }
 
   // Iteration in creation order, yielding Node& (the nodes themselves live
   // in arena slabs; the index holds stable pointers to them).
@@ -656,6 +670,7 @@ class Graph {
     for (Node* node : _index) node->~Node();
     _index.clear();
     if (_names != nullptr) _names->clear();
+    set_acyclic(false);
   }
 
   detail::GraphArena _arena;
@@ -663,6 +678,7 @@ class Graph {
   // Lazily allocated: the overwhelming majority of graphs name no task.
   std::unique_ptr<std::unordered_map<const Node*, std::string>> _names;
   bool _edges_dirty{false};  // a successor array spilled since finalize_edges
+  std::atomic<bool> _acyclic{false};  // cached describe_cycle verdict
 };
 
 inline const std::string& Node::name() const noexcept {
@@ -688,17 +704,20 @@ namespace detail {
 
 /// Kahn's-algorithm acyclicity check over the static edges of `g`: returns
 /// the empty string when the graph is acyclic, otherwise a human-readable
-/// description naming one dependency cycle (up to `max_named` tasks).  The
-/// nodes' join counters are used as scratch in-degrees, so this must only
-/// run while `g` is not executing; Topology::arm / the subflow spawn path
-/// re-initialize the counters right afterwards.
+/// description naming one dependency cycle (up to `max_named` tasks).  An
+/// accepted graph caches the verdict (Graph::acyclic) and is not swept
+/// again until it is mutated.  The nodes' join counters are used as scratch
+/// in-degrees, so this must only run while `g` is not executing;
+/// Topology::arm / the subflow spawn path re-initialize the counters right
+/// afterwards.
 [[nodiscard]] std::string describe_cycle(Graph& g, std::size_t max_named = 8);
 
 /// Deep-copy `src` into `dst` (which must be empty - freshly constructed or
 /// recycled): the module-task instantiation step.  Work items, names,
 /// resilience policies, and edges (with their strong/weak classification)
 /// are all duplicated; nested module references are copied as references and
-/// expand recursively at execution.  Throws std::logic_error when a work
+/// expand recursively at execution.  The copy inherits `src`'s cached
+/// acyclicity verdict.  Throws std::logic_error when a work
 /// item is move-only (a composed Taskflow must hold copyable callables).
 void instantiate(const Graph& src, Graph& dst);
 

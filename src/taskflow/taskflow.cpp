@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/env.hpp"
 #include "taskflow/dot.hpp"
 
 namespace tf {
@@ -18,10 +17,9 @@ namespace {
 // Throws tf::CycleError when `graph` is cyclic.  Runs before the graph is
 // handed to a Topology, so a failed dispatch leaves the caller's graph
 // intact (the scratched join counters are re-initialized by the next arm()).
-// REPRO_CYCLE_CHECK=0 skips the O(V+E) sweep for dispatch-latency-critical
-// code that guarantees acyclicity by construction.
+// A graph unchanged since its last accepted check costs one load (the
+// cached verdict, Graph::acyclic).
 void throw_if_cyclic(Graph& graph, const char* origin) {
-  if (!support::repro_cycle_check()) return;
   if (std::string cycle = detail::describe_cycle(graph); !cycle.empty()) {
     throw CycleError(std::string(origin) + ": " + cycle);
   }
@@ -214,10 +212,13 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
   // slot cannot be shed or stolen between the verdict and the push.
   const int band = clamp_band(policy.priority);
   std::unique_lock<std::mutex> adm(_adm_mutex, std::defer_lock);
+  if (_admission_active) adm.lock();
+  // Holding the record keeps it registered (the idle sweep skips referenced
+  // records), so concurrent submissions of one taskflow share one FIFO.
+  const std::shared_ptr<RunRecord> rec = run_record(taskflow);
   bool claimed_probe = false;
   if (_admission_active) {
-    adm.lock();
-    const RejectReason why = admit_locked(adm, taskflow, policy, nothrow, claimed_probe);
+    const RejectReason why = admit_locked(adm, *rec, policy, nothrow, claimed_probe);
     if (why != RejectReason::none) {
       adm.unlock();
       if (why != RejectReason::shutdown) {
@@ -254,19 +255,9 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
     topology->_breaker_probe = claimed_probe;
   }
 
-  // Phase 2: find-or-create the client's run queue, then push under BOTH
-  // locks (registry, then queue - the global lock order): releasing the
-  // registry lock before the push would let a concurrent drain erase the
-  // queue and a concurrent submit create a second one, breaking
-  // same-taskflow FIFO serialization.
-  std::unique_lock clients_lock(_clients_mutex);
-  auto& slot = _clients[&taskflow];
-  if (slot == nullptr) slot = std::make_shared<ClientQueue>(&taskflow);
-  std::shared_ptr<ClientQueue> cq = slot;
-  std::unique_lock queue_lock(cq->mutex);
-  clients_lock.unlock();
-
-  const bool head = cq->queue.empty();
+  // Phase 2: push onto the taskflow's FIFO.
+  std::unique_lock queue_lock(rec->mutex);
+  const bool head = rec->queue.empty();
   if (head) {
     // An empty queue means nothing of this taskflow is queued or in flight,
     // so the cycle check (which scratches the graph's join counters) cannot
@@ -276,26 +267,19 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       throw_if_cyclic(taskflow.graph(), "run");
     } catch (...) {
       queue_lock.unlock();
-      if (_admission_active) {
-        unadmit_locked(taskflow, claimed_probe);
+      if (_admission_active) {  // undo the admission charge
+        if (rec->pending > 0) --rec->pending;
+        if (claimed_probe) rec->probe_in_flight = false;
+        if (_adm_pending > 0) --_adm_pending;
         _adm_cv.notify_all();
-        adm.unlock();
-      }
-      // Drop the (empty) queue we may have just registered, re-checking
-      // under both locks: a concurrent submit may have pushed meanwhile.
-      std::scoped_lock relock(_clients_mutex);
-      auto it = _clients.find(&taskflow);
-      if (it != _clients.end() && it->second == cq) {
-        std::scoped_lock requeue(cq->mutex);
-        if (cq->queue.empty()) _clients.erase(it);
       }
       throw;
     }
   }
 
-  topology->_client_tag = cq.get();
-  topology->_client_hold = cq;  // the queue outlives every run it holds
-  cq->queue.push_back(topology);
+  topology->_client_tag = rec.get();
+  topology->_client_hold = rec;  // the record outlives every run it holds
+  rec->queue.push_back(topology);
   // Count under the queue lock: the completion-side decrement pops under
   // this lock first, so it can never overtake this increment.
   _num_topologies.fetch_add(1, std::memory_order_relaxed);
@@ -316,7 +300,6 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
   _adm_admitted.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::shared_ptr<Topology>> to_start;
   std::vector<std::shared_ptr<Topology>> shed_victims;
-  std::vector<std::shared_ptr<ClientQueue>> emptied;
   if (head) {
     if (_options.max_concurrent_topologies == 0 ||
         _adm_started < _options.max_concurrent_topologies) {
@@ -324,7 +307,7 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       topology->_admit = Topology::AdmitState::started;
       to_start.push_back(topology);
     } else {
-      ring_push_locked(cq, band);
+      ring_push_locked(rec, band);
     }
   }
   if (_options.shed_watermark > 0) {
@@ -342,37 +325,59 @@ std::shared_ptr<Topology> Executor::submit(Taskflow& taskflow, std::size_t n,
       }
     }
     if (_adm_pending > _options.shed_watermark) {
-      shed_to_watermark_locked(shed_victims, emptied);
+      shed_to_watermark_locked(shed_victims);
     }
   }
   adm.unlock();
 
   for (auto& t : to_start) start(*t);
   for (auto& victim : shed_victims) finish_shed(victim);  // fires on_topology_shed
-  for (auto& empty_cq : emptied) release_client(empty_cq.get());
   if (auto obs = _backend->observer()) obs->on_topology_admit();
   return topology;
 }
 
+std::shared_ptr<Executor::RunRecord> Executor::run_record(const Taskflow& taskflow) {
+  std::scoped_lock lock(_records_mutex);
+  if (auto it = _records.find(&taskflow); it != _records.end()) return it->second;
+  // A new client: sweep idle records once the table doubled since the last
+  // sweep.  Idle = referenced by the table alone (references are taken only
+  // under this lock, so the count is exact) with a closed breaker.
+  if (_records.size() >= 2 * _records_kept + 8) {
+    std::erase_if(_records, [](const auto& entry) {
+      const RunRecord& r = *entry.second;
+      return entry.second.use_count() == 1 && r.pending == 0 &&
+             !r.probe_in_flight && r.consecutive_failures == 0 &&
+             r.breaker == RunRecord::Breaker::closed;
+    });
+    _records_kept = _records.size();
+  }
+  auto rec = std::make_shared<RunRecord>();
+  _records.emplace(&taskflow, rec);
+  return rec;
+}
+
+std::size_t Executor::num_run_records() const {
+  std::scoped_lock lock(_records_mutex);
+  return _records.size();
+}
+
 Executor::RejectReason Executor::admit_locked(std::unique_lock<std::mutex>& adm,
-                                              const Taskflow& taskflow,
-                                              RunPolicy policy, bool nothrow,
-                                              bool& claimed_probe) {
+                                              RunRecord& ac, RunPolicy policy,
+                                              bool nothrow, bool& claimed_probe) {
   const bool bounded_wait = policy.admission_timeout.count() > 0;
   const auto wait_deadline =
       std::chrono::steady_clock::now() + policy.admission_timeout;
   for (;;) {
     if (_shutdown.load(std::memory_order_acquire)) return RejectReason::shutdown;
-    AdmissionClient& ac = _adm_clients[&taskflow];
     if (_options.breaker_threshold > 0) {
       // Fail fast while open-and-cooling or while the half-open probe is
       // out; an elapsed cooldown falls through and claims the probe below.
-      if (ac.breaker == AdmissionClient::Breaker::open &&
+      if (ac.breaker == RunRecord::Breaker::open &&
           std::chrono::steady_clock::now() <
               ac.opened_at + _options.breaker_cooldown) {
         return RejectReason::breaker_open;
       }
-      if (ac.breaker == AdmissionClient::Breaker::half_open && ac.probe_in_flight) {
+      if (ac.breaker == RunRecord::Breaker::half_open && ac.probe_in_flight) {
         return RejectReason::breaker_open;
       }
     }
@@ -382,8 +387,8 @@ Executor::RejectReason Executor::admit_locked(std::unique_lock<std::mutex>& adm,
                        ac.pending >= _options.max_pending_per_client);
     if (!full) {
       if (_options.breaker_threshold > 0 &&
-          ac.breaker != AdmissionClient::Breaker::closed) {
-        ac.breaker = AdmissionClient::Breaker::half_open;
+          ac.breaker != RunRecord::Breaker::closed) {
+        ac.breaker = RunRecord::Breaker::half_open;
         ac.probe_in_flight = true;
         claimed_probe = true;
       }
@@ -405,24 +410,14 @@ Executor::RejectReason Executor::admit_locked(std::unique_lock<std::mutex>& adm,
     } else {
       _adm_cv.wait(adm);
     }
-    // Loop: re-evaluate shutdown, breaker, and capacity after every wake
-    // (the map reference may have been invalidated by a rehash meanwhile).
+    // Loop: re-evaluate shutdown, breaker, and capacity after every wake.
   }
 }
 
-void Executor::unadmit_locked(const Taskflow& taskflow, bool claimed_probe) {
-  auto it = _adm_clients.find(&taskflow);
-  if (it != _adm_clients.end()) {
-    if (it->second.pending > 0) --it->second.pending;
-    if (claimed_probe) it->second.probe_in_flight = false;
-  }
-  if (_adm_pending > 0) --_adm_pending;
-}
-
-void Executor::ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band) {
-  if (cq->in_ring) return;
-  cq->in_ring = true;
-  _adm_ready[band].push_back(cq);
+void Executor::ring_push_locked(const std::shared_ptr<RunRecord>& rec, int band) {
+  if (rec->in_ring) return;
+  rec->in_ring = true;
+  _adm_ready[band].push_back(rec);
 }
 
 void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start) {
@@ -435,7 +430,7 @@ void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_
     auto& ring = _adm_ready[band];
     std::size_t fruitless = 0;  // consecutive visits that dispatched nothing
     while (_adm_started < limit && !ring.empty()) {
-      std::shared_ptr<ClientQueue> cq = ring.front();
+      std::shared_ptr<RunRecord> cq = ring.front();
       std::shared_ptr<Topology> head;
       {
         std::scoped_lock queue_lock(cq->mutex);
@@ -484,8 +479,7 @@ void Executor::dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_
 }
 
 void Executor::shed_to_watermark_locked(
-    std::vector<std::shared_ptr<Topology>>& victims,
-    std::vector<std::shared_ptr<ClientQueue>>& emptied) {
+    std::vector<std::shared_ptr<Topology>>& victims) {
   while (_adm_pending > _options.shed_watermark) {
     std::shared_ptr<Topology> victim;
     for (int band = 0; band < kNumPriorities && victim == nullptr; ++band) {
@@ -500,7 +494,7 @@ void Executor::shed_to_watermark_locked(
       }
     }
     if (victim == nullptr) break;  // everything pending has already started
-    auto* vcq = static_cast<ClientQueue*>(victim->_client_tag);
+    auto* vcq = static_cast<RunRecord*>(victim->_client_tag);
     bool now_empty = false;
     {
       std::scoped_lock queue_lock(vcq->mutex);
@@ -516,12 +510,11 @@ void Executor::shed_to_watermark_locked(
     }
     victim->_admit = Topology::AdmitState::shed;
     --_adm_pending;
-    auto it = _adm_clients.find(vcq->owner);
-    if (it != _adm_clients.end() && it->second.pending > 0) --it->second.pending;
+    if (vcq->pending > 0) --vcq->pending;
     if (victim->_breaker_probe) {
       // A shed probe must not wedge the breaker half-open forever.
       victim->_breaker_probe = false;
-      if (it != _adm_clients.end()) it->second.probe_in_flight = false;
+      vcq->probe_in_flight = false;
     }
     if (now_empty && vcq->in_ring) {
       // The emptied client's stale ring entry would suppress its next
@@ -529,16 +522,13 @@ void Executor::shed_to_watermark_locked(
       for (auto& ring : _adm_ready) {
         auto pos = std::find_if(
             ring.begin(), ring.end(),
-            [vcq](const std::shared_ptr<ClientQueue>& p) { return p.get() == vcq; });
+            [vcq](const std::shared_ptr<RunRecord>& p) { return p.get() == vcq; });
         if (pos != ring.end()) {
           ring.erase(pos);
           break;
         }
       }
       vcq->in_ring = false;
-    }
-    if (now_empty) {
-      emptied.push_back(std::static_pointer_cast<ClientQueue>(victim->_client_hold));
     }
     victims.push_back(std::move(victim));
   }
@@ -558,18 +548,11 @@ void Executor::finish_shed(const std::shared_ptr<Topology>& victim) {
     _adm_shed.fetch_add(1, std::memory_order_relaxed);
     if (auto obs = _backend->observer()) obs->on_topology_shed();
   }
-  {
-    std::scoped_lock lock(_done_mutex);
-    _num_topologies.fetch_sub(1, std::memory_order_relaxed);
-    _done_cv.notify_all();
-  }
+  note_done(_num_topologies);
   victim->finish();
 }
 
-void Executor::breaker_update_locked(const Taskflow* taskflow, Topology& topology) {
-  auto it = _adm_clients.find(taskflow);
-  if (it == _adm_clients.end()) return;
-  AdmissionClient& ac = it->second;
+void Executor::breaker_update_locked(RunRecord& ac, Topology& topology) {
   if (topology._breaker_probe) {
     topology._breaker_probe = false;
     ac.probe_in_flight = false;
@@ -578,18 +561,18 @@ void Executor::breaker_update_locked(const Taskflow* taskflow, Topology& topolog
   // deadline).  A cancelled or fallback-degraded run completes cleanly and
   // counts as success.
   if (topology.exception() != nullptr) {
-    if (ac.breaker == AdmissionClient::Breaker::half_open ||
-        (ac.breaker == AdmissionClient::Breaker::closed &&
+    if (ac.breaker == RunRecord::Breaker::half_open ||
+        (ac.breaker == RunRecord::Breaker::closed &&
          ++ac.consecutive_failures >= _options.breaker_threshold)) {
-      ac.breaker = AdmissionClient::Breaker::open;
+      ac.breaker = RunRecord::Breaker::open;
       ac.opened_at = std::chrono::steady_clock::now();
       ac.consecutive_failures = 0;
       _adm_breaker_trips.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
     ac.consecutive_failures = 0;
-    if (ac.breaker != AdmissionClient::Breaker::closed) {
-      ac.breaker = AdmissionClient::Breaker::closed;
+    if (ac.breaker != RunRecord::Breaker::closed) {
+      ac.breaker = RunRecord::Breaker::closed;
       ac.probe_in_flight = false;
     }
   }
@@ -668,9 +651,7 @@ void Executor::on_topology_done(Topology& topology) {
       box->graph.recycle();
       box->topology.error_state()->reset();
       if (!_async_pool->release(box)) delete box;
-      std::scoped_lock lock(_done_mutex);
-      _num_asyncs.fetch_sub(1, std::memory_order_relaxed);
-      _done_cv.notify_all();
+      note_done(_num_asyncs);
       return;
     }
 
@@ -680,11 +661,7 @@ void Executor::on_topology_done(Topology& topology) {
       // The _live entry is NOT erased here (that would be executor work after
       // the hot tail): it expires when the last shared_ptr drops and is
       // pruned lazily by register_live() / collected by shutdown().
-      {
-        std::scoped_lock lock(_done_mutex);
-        _num_topologies.fetch_sub(1, std::memory_order_relaxed);
-        _done_cv.notify_all();
-      }
+      note_done(_num_topologies);
       self->finish();
       return;
     }
@@ -706,54 +683,40 @@ void Executor::on_topology_done(Topology& topology) {
     return;
   }
 
-  // Final repeat done: pop from the client FIFO and hand the worker pool to
-  // the next pending run of this taskflow, if any.
-  auto* cq = static_cast<ClientQueue*>(topology._client_tag);
-  std::shared_ptr<Topology> self;  // keeps the topology alive through finish()
+  // Final repeat done: pop from the taskflow's FIFO and hand the worker
+  // pool to its next pending run, if any.  `self` keeps the topology - and
+  // through it the record - alive through finish().
+  auto* rec = static_cast<RunRecord*>(topology._client_tag);
+  std::shared_ptr<Topology> self;
   std::shared_ptr<Topology> next;
-  bool drained = false;
   {
-    std::scoped_lock lock(cq->mutex);
-    self = std::move(cq->queue.front());
-    cq->queue.pop_front();
-    if (cq->queue.empty()) {
-      drained = true;
-    } else {
-      next = cq->queue.front();
-    }
+    std::scoped_lock lock(rec->mutex);
+    self = std::move(rec->queue.front());
+    rec->queue.pop_front();
+    if (!rec->queue.empty()) next = rec->queue.front();
   }
   disarm_deadline(*self);  // a finished run's timer must not pin its state
   if (!_admission_active) {
     if (next != nullptr) start(*next);
-    if (drained) release_client(cq);
   } else {
     // Admission bookkeeping: free the pending + concurrency slots, update
-    // the breaker, and refill free slots from the ready rings.  The queue
+    // the breaker, and refill free slots from the ready rings.  The record
     // lock is already released (lock order: _adm_mutex never nests inside
-    // a ClientQueue mutex), and start() runs outside the admission lock.
+    // a RunRecord mutex), and start() runs outside the admission lock.
     std::vector<std::shared_ptr<Topology>> to_start;
     {
       std::scoped_lock adm(_adm_mutex);
       if (_adm_pending > 0) --_adm_pending;
       if (_adm_started > 0) --_adm_started;
-      if (_options.breaker_threshold > 0) breaker_update_locked(cq->owner, *self);
-      auto it = _adm_clients.find(cq->owner);
-      if (it != _adm_clients.end()) {
-        if (it->second.pending > 0) --it->second.pending;
-        // GC trivial entries so the map tracks active clients and open /
-        // cooling breakers only (breaker state must survive idle periods).
-        if (it->second.pending == 0 && !it->second.probe_in_flight &&
-            it->second.breaker == AdmissionClient::Breaker::closed &&
-            it->second.consecutive_failures == 0) {
-          _adm_clients.erase(it);
-        }
-      }
+      if (rec->pending > 0) --rec->pending;
+      if (next == nullptr) rec->deficit = 0;  // a drained FIFO forfeits its DRR credit
+      if (_options.breaker_threshold > 0) breaker_update_locked(*rec, *self);
       if (next != nullptr && next->_admit != Topology::AdmitState::queued) {
         // The front we captured at pop time was shed before we reached this
         // lock (the shed erased it from the queue): chain to the current
         // front instead - starting the captured one would finish it twice.
-        std::scoped_lock requeue(cq->mutex);
-        next = cq->queue.empty() ? nullptr : cq->queue.front();
+        std::scoped_lock requeue(rec->mutex);
+        next = rec->queue.empty() ? nullptr : rec->queue.front();
         if (next != nullptr && next->_admit != Topology::AdmitState::queued) {
           next = nullptr;
         }
@@ -768,7 +731,7 @@ void Executor::on_topology_done(Topology& topology) {
           // same-client continuation through the ready ring so the DRR /
           // priority arbiter picks the next run - direct continuation would
           // let a deep-queued hot client monopolize the slot it just freed.
-          ring_push_locked(std::static_pointer_cast<ClientQueue>(self->_client_hold),
+          ring_push_locked(std::static_pointer_cast<RunRecord>(self->_client_hold),
                            next->_priority);
         }
       }
@@ -776,14 +739,21 @@ void Executor::on_topology_done(Topology& topology) {
       _adm_cv.notify_all();  // a pending slot freed: wake blocked submitters
     }
     for (auto& t : to_start) start(*t);
-    if (drained) release_client(cq);
   }
-  {
-    std::scoped_lock lock(_done_mutex);
-    _num_topologies.fetch_sub(1, std::memory_order_relaxed);
-    _done_cv.notify_all();
-  }
+  note_done(_num_topologies);
   self->finish();
+}
+
+void Executor::note_done(std::atomic<std::size_t>& in_flight) {
+  // Lock-free while other runs stay in flight.  The decrement that may
+  // reach zero happens under _done_mutex: a waiter reads the counters under
+  // that lock, so it cannot see zero - and return, possibly destroying the
+  // executor - before this notify has run.
+  for (std::size_t n = in_flight.load(std::memory_order_relaxed); n > 1;) {
+    if (in_flight.compare_exchange_weak(n, n - 1, std::memory_order_acq_rel)) return;
+  }
+  std::scoped_lock lock(_done_mutex);
+  if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) _done_cv.notify_all();
 }
 
 void Executor::register_live(const std::shared_ptr<Topology>& topology) {
@@ -827,41 +797,26 @@ void Executor::disarm_deadline(Topology& topology) {
   topology._deadline_timer = detail::TimerWheel::kInvalidTimer;
 }
 
-void Executor::release_client(ClientQueue* cq) {
-  // Destroy the registry entry only outside both locks (`hold` outlives the
-  // scope), and only when the queue is still drained: a concurrent submit
-  // may have pushed - and holds the registry lock across find+push - so the
-  // re-check under both locks is authoritative.
-  std::shared_ptr<ClientQueue> hold;
-  {
-    std::scoped_lock clients_lock(_clients_mutex);
-    auto it = _clients.find(cq->owner);
-    if (it == _clients.end() || it->second.get() != cq) return;
-    std::scoped_lock queue_lock(cq->mutex);
-    if (!cq->queue.empty()) return;
-    hold = std::move(it->second);
-    _clients.erase(it);
-  }
-}
-
 void Executor::wait_for_all() {
   // Counter-based drain: returns once every run has retired its last task.
   // The completing worker sets the run's promise a few instructions AFTER
   // this wakeup (finish() is deliberately its last action; see
   // on_topology_done) - callers needing every handle future ready as well
   // should go through shutdown(), which additionally waits on the futures.
+  // Acquire loads: all but the last decrement happen outside _done_mutex
+  // (note_done), so a zero seen here must order after every retired run.
   std::unique_lock lock(_done_mutex);
   _done_cv.wait(lock, [this] {
-    return _num_topologies.load(std::memory_order_relaxed) == 0 &&
-           _num_asyncs.load(std::memory_order_relaxed) == 0;
+    return _num_topologies.load(std::memory_order_acquire) == 0 &&
+           _num_asyncs.load(std::memory_order_acquire) == 0;
   });
 }
 
 bool Executor::wait_for_all_for(std::chrono::milliseconds timeout) {
   std::unique_lock lock(_done_mutex);
   return _done_cv.wait_for(lock, timeout, [this] {
-    return _num_topologies.load(std::memory_order_relaxed) == 0 &&
-           _num_asyncs.load(std::memory_order_relaxed) == 0;
+    return _num_topologies.load(std::memory_order_acquire) == 0 &&
+           _num_asyncs.load(std::memory_order_acquire) == 0;
   });
 }
 
@@ -953,10 +908,10 @@ void Executor::watchdog_loop() {
     std::vector<std::shared_ptr<detail::ErrorState>> expired;
     const auto now = std::chrono::steady_clock::now();
     {
-      std::scoped_lock clients_lock(_clients_mutex);
-      for (auto& [owner, cq] : _clients) {
-        std::scoped_lock queue_lock(cq->mutex);
-        for (auto& topology : cq->queue) {
+      std::scoped_lock records_lock(_records_mutex);
+      for (auto& [owner, rec] : _records) {
+        std::scoped_lock queue_lock(rec->mutex);
+        for (auto& topology : rec->queue) {
           detail::ErrorState* state = topology->error_state();
           if (state->draining()) continue;
           if (auto d = state->deadline(); d && *d <= now) {
@@ -1025,73 +980,73 @@ void Executor::dump_state(std::ostream& os) const {
     os << "; admitted " << num_admitted() << ", rejected " << num_rejected()
        << ", shed " << num_shed();
     if (_options.breaker_threshold > 0) {
+      std::scoped_lock records_lock(_records_mutex);
       std::size_t open = 0;
-      for (const auto& [owner, ac] : _adm_clients) {
-        if (ac.breaker != AdmissionClient::Breaker::closed) ++open;
+      for (const auto& [owner, rec] : _records) {
+        if (rec->breaker != RunRecord::Breaker::closed) ++open;
       }
       os << ", breaker trips " << num_breaker_trips() << " (" << open
          << " open/half-open)";
     }
     os << "\n";
   }
-  std::scoped_lock clients_lock(_clients_mutex);
-  for (const auto& [owner, cq] : _clients) {
+  std::scoped_lock records_lock(_records_mutex);
+  for (const auto& [owner, cq] : _records) {
     std::scoped_lock queue_lock(cq->mutex);
+    if (cq->queue.empty()) continue;  // idle record: nothing to report
     os << "client " << owner << ": " << cq->queue.size() << " queued run(s)";
-    if (!cq->queue.empty()) {
-      // Front = the run in flight.  num_active() is an atomic snapshot, so
-      // this stays race-free while the graph executes (unlike a recursive
-      // graph-size walk, which would chase subflow pointers mid-spawn).
-      const auto& front = cq->queue.front();
-      os << "; running: " << front->num_active()
-         << " in-flight task execution(s)";
-      // Resilience policies and node kinds of the running graph: top-level
-      // nodes only (the list is immutable during the run; subflows are not
-      // chased mid-spawn).  Condition nodes report their last-returned
-      // branch index (-1 = not yet taken), which is what makes a stuck
-      // in-graph loop diagnosable: a loop that stopped converging shows the
-      // same branch lap after lap.
-      std::size_t with_policy = 0;
-      int failed_attempts = 0;
-      std::size_t modules = 0;
-      std::size_t node_index = 0;
-      std::string conditions;
-      for (const auto& node : front->graph()) {
-        if (const auto* pol = node.resilience()) {
-          ++with_policy;
-          failed_attempts += pol->failed_attempts.load(std::memory_order_relaxed);
-        }
-        if (node.is_module()) ++modules;
-        if (node.is_condition()) {
-          if (!conditions.empty()) conditions += ", ";
-          conditions += node.name().empty() ? "task#" + std::to_string(node_index)
-                                            : "\"" + node.name() + "\"";
-          conditions += " last_branch=" + std::to_string(node.last_branch());
-        }
-        ++node_index;
+    // Front = the run in flight.  num_active() is an atomic snapshot, so
+    // this stays race-free while the graph executes (unlike a recursive
+    // graph-size walk, which would chase subflow pointers mid-spawn).
+    const auto& front = cq->queue.front();
+    os << "; running: " << front->num_active()
+       << " in-flight task execution(s)";
+    // Resilience policies and node kinds of the running graph: top-level
+    // nodes only (the list is immutable during the run; subflows are not
+    // chased mid-spawn).  Condition nodes report their last-returned
+    // branch index (-1 = not yet taken), which is what makes a stuck
+    // in-graph loop diagnosable: a loop that stopped converging shows the
+    // same branch lap after lap.
+    std::size_t with_policy = 0;
+    int failed_attempts = 0;
+    std::size_t modules = 0;
+    std::size_t node_index = 0;
+    std::string conditions;
+    for (const auto& node : front->graph()) {
+      if (const auto* pol = node.resilience()) {
+        ++with_policy;
+        failed_attempts += pol->failed_attempts.load(std::memory_order_relaxed);
       }
-      if (with_policy > 0) {
-        os << "; " << with_policy << " task(s) with retry/fallback policies ("
-           << failed_attempts << " failed attempt(s) so far)";
+      if (node.is_module()) ++modules;
+      if (node.is_condition()) {
+        if (!conditions.empty()) conditions += ", ";
+        conditions += node.name().empty() ? "task#" + std::to_string(node_index)
+                                          : "\"" + node.name() + "\"";
+        conditions += " last_branch=" + std::to_string(node.last_branch());
       }
-      if (modules > 0) os << "; " << modules << " module task(s)";
-      if (!conditions.empty()) os << "; condition(s): " << conditions;
-      detail::ErrorState* state = front->error_state();
-      if (auto d = state->deadline()) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(*d - now);
-        if (remaining.count() >= 0) {
-          os << " [deadline in " << remaining.count() << " ms]";
-        } else if (!state->draining()) {
-          os << " [deadline exceeded " << -remaining.count() << " ms ago]";
-        }
+      ++node_index;
+    }
+    if (with_policy > 0) {
+      os << "; " << with_policy << " task(s) with retry/fallback policies ("
+         << failed_attempts << " failed attempt(s) so far)";
+    }
+    if (modules > 0) os << "; " << modules << " module task(s)";
+    if (!conditions.empty()) os << "; condition(s): " << conditions;
+    detail::ErrorState* state = front->error_state();
+    if (auto d = state->deadline()) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(*d - now);
+      if (remaining.count() >= 0) {
+        os << " [deadline in " << remaining.count() << " ms]";
+      } else if (!state->draining()) {
+        os << " [deadline exceeded " << -remaining.count() << " ms ago]";
       }
-      if (front->is_cancelled()) {
-        os << (state->timed_out.load(std::memory_order_relaxed)
-                   ? " [draining: deadline exceeded]"
-               : front->exception() ? " [draining: task exception]"
-                                    : " [draining: cancelled]");
-      }
+    }
+    if (front->is_cancelled()) {
+      os << (state->timed_out.load(std::memory_order_relaxed)
+                 ? " [draining: deadline exceeded]"
+             : front->exception() ? " [draining: task exception]"
+                                  : " [draining: cancelled]");
     }
     os << "\n";
   }
@@ -1119,8 +1074,9 @@ Executor::Metrics Executor::metrics() const {
     std::scoped_lock adm(_adm_mutex);
     m.adm_pending = _adm_pending;
     m.adm_started = _adm_started;
-    for (const auto& [owner, ac] : _adm_clients) {
-      if (ac.breaker != AdmissionClient::Breaker::closed) ++m.breakers_open;
+    std::scoped_lock records_lock(_records_mutex);
+    for (const auto& [owner, rec] : _records) {
+      if (rec->breaker != RunRecord::Breaker::closed) ++m.breakers_open;
     }
   }
   return m;

@@ -40,8 +40,8 @@
 //
 // Error model (see error.hpp / DESIGN.md §6):
 //  * run()/dispatch() verify the graph is acyclic and throw tf::CycleError
-//    with a descriptive message instead of deadlocking (disable the check
-//    with REPRO_CYCLE_CHECK=0 when submission cost matters more than safety);
+//    with a descriptive message instead of deadlocking; the verdict is
+//    cached on the graph, so repeat runs of an unchanged graph skip it;
 //  * a task that throws flips its topology into draining mode (remaining
 //    tasks are skipped, bookkeeping still runs, repeat runs stop) and the
 //    first exception is rethrown from the handle's get();
@@ -513,6 +513,10 @@ class Executor : private detail::TopologyClient {
     return _num_asyncs.load(std::memory_order_relaxed);
   }
 
+  /// Run records registered (one per taskflow submitted to this executor
+  /// and not yet reclaimed as idle); a diagnostic of the record table.
+  [[nodiscard]] std::size_t num_run_records() const;
+
   /// One-shot diagnostic snapshot: backend scheduling state plus, per
   /// client taskflow, the pending-topology queue depth and the running
   /// topology's unfinished-task count, plus the in-flight async count.
@@ -560,24 +564,17 @@ class Executor : private detail::TopologyClient {
  private:
   friend class Taskflow;
 
-  /// Per-client FIFO of pending runs; front = the run in flight.  Owned by
-  /// the executor (keyed by client address) and kept alive by every queued
-  /// topology, so tear-down never races client destruction.  The deficit /
-  /// in_ring fields belong to the admission layer and are touched only
-  /// under _adm_mutex.
-  struct ClientQueue {
-    explicit ClientQueue(const Taskflow* o) : owner(o) {}
-    const Taskflow* owner;
+  /// Per-(executor, taskflow) run record (DESIGN.md §11), kept across runs
+  /// so a repeat run touches only state that already exists.  `queue` is
+  /// the FIFO of pending runs (front = the run in flight), under `mutex`;
+  /// the admission fields are touched only under _adm_mutex.  Queued runs
+  /// and ring entries hold a reference; idle records are reclaimed only by
+  /// the amortized sweep in run_record(), never on the run path.
+  struct RunRecord {
     std::mutex mutex;
     std::deque<std::shared_ptr<Topology>> queue;
     std::size_t deficit{0};  // deficit-round-robin credit, in node units
     bool in_ring{false};     // member of exactly one _adm_ready ring
-  };
-
-  /// Per-taskflow admission state, under _adm_mutex.  Separate from
-  /// ClientQueue because it must survive queue teardown: a breaker stays
-  /// open across idle periods in which the registry drops the drained queue.
-  struct AdmissionClient {
     std::size_t pending{0};  // admitted, not yet finished/shed
     int consecutive_failures{0};
     enum class Breaker : unsigned char { closed, open, half_open } breaker{
@@ -597,7 +594,7 @@ class Executor : private detail::TopologyClient {
 
   /// Enqueue a (n, stop)-repeat run of `taskflow`; nullptr when there is
   /// nothing to do (empty graph or n == 0).  Starts it immediately when the
-  /// client's queue was empty (and, under admission control, a concurrency
+  /// taskflow's FIFO was empty (and, under admission control, a concurrency
   /// slot is free).  A non-zero `policy.timeout` arms a deadline timer on
   /// the backend's wheel.  Throws tf::ShutdownError after shutdown() began
   /// and tf::OverloadError / tf::BreakerOpenError per the admission verdict
@@ -608,24 +605,24 @@ class Executor : private detail::TopologyClient {
                                    RunPolicy policy = {}, bool nothrow = false,
                                    bool* rejected = nullptr);
 
+  /// The taskflow's run record, created on its first submission.  A
+  /// creation that finds the table doubled since the last sweep first
+  /// reclaims the idle records (amortized O(1), like register_live).
+  /// Called with _adm_mutex held when admission is active.
+  std::shared_ptr<RunRecord> run_record(const Taskflow& taskflow);
+
   /// The admission gate of submit(): blocks/rejects per `policy` until the
   /// run may enter, then charges the pending counters and claims the
   /// breaker probe when the taskflow is half-open.  Returns the reject
   /// reason (none = admitted).  Called with _adm_mutex held.
-  RejectReason admit_locked(std::unique_lock<std::mutex>& adm,
-                            const Taskflow& taskflow, RunPolicy policy,
-                            bool nothrow, bool& claimed_probe);
-
-  /// Undo an admit_locked() charge when the submission fails after
-  /// admission (cycle check).  Called with _adm_mutex held.
-  void unadmit_locked(const Taskflow& taskflow, bool claimed_probe);
+  RejectReason admit_locked(std::unique_lock<std::mutex>& adm, RunRecord& rec,
+                            RunPolicy policy, bool nothrow, bool& claimed_probe);
 
   /// Shed admitted-but-unstarted runs (lowest band first, newest first
   /// within a band) until the pending count is back at the watermark.
   /// Called with _adm_mutex held; the victims are completed (OverloadError)
   /// by the caller outside the lock via finish_shed().
-  void shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims,
-                                std::vector<std::shared_ptr<ClientQueue>>& emptied);
+  void shed_to_watermark_locked(std::vector<std::shared_ptr<Topology>>& victims);
 
   /// Complete one shed victim outside every lock: disarm its deadline,
   /// capture OverloadError, decrement the in-flight counters, finish().
@@ -637,13 +634,13 @@ class Executor : private detail::TopologyClient {
   /// outside the lock).  Called with _adm_mutex held.
   void dispatch_ready_locked(std::vector<std::shared_ptr<Topology>>& to_start);
 
-  /// Enqueue `cq` on the ready ring of `band` unless it is already ringed.
+  /// Enqueue `rec` on the ready ring of `band` unless it is already ringed.
   /// Called with _adm_mutex held.
-  void ring_push_locked(const std::shared_ptr<ClientQueue>& cq, int band);
+  void ring_push_locked(const std::shared_ptr<RunRecord>& rec, int band);
 
-  /// Update `taskflow`'s breaker with a finished run's outcome (a stored
+  /// Update the record's breaker with a finished run's outcome (a stored
   /// exception = failure).  Called with _adm_mutex held.
-  void breaker_update_locked(const Taskflow* taskflow, Topology& topology);
+  void breaker_update_locked(RunRecord& rec, Topology& topology);
 
   /// Legacy Taskflow::dispatch entry: a one-shot topology owning `graph`,
   /// started immediately (dispatched topologies of one taskflow run
@@ -659,16 +656,13 @@ class Executor : private detail::TopologyClient {
   void start(Topology& topology);
 
   /// Completion callback (TopologyClient): decides re-arm vs finish, hands
-  /// the client queue to the next pending run, and keeps the in-flight
+  /// the run record's FIFO to the next pending run, and keeps the in-flight
   /// accounting.  Runs on the worker that retired the last task.
   void on_topology_done(Topology& topology) final;
 
-  /// Drop `cq` from the client registry when its queue drained (so the
-  /// registry tracks live clients only).
-  void release_client(ClientQueue* cq);
-
-  /// Wake wait_for_all waiters after a decrement of the in-flight counters.
-  void note_done();
+  /// Decrement an in-flight counter.  Only a decrement that may reach zero
+  /// takes _done_mutex, and it wakes the wait_for_all waiters.
+  void note_done(std::atomic<std::size_t>& in_flight);
 
   /// Throw tf::ShutdownError when shutdown() already began.
   void throw_if_shutdown() const;
@@ -703,8 +697,8 @@ class Executor : private detail::TopologyClient {
   std::shared_ptr<ExecutorInterface> _backend;
 
   // -- admission control (DESIGN.md §11) -----------------------------------
-  // Lock order: _adm_mutex -> _clients_mutex -> ClientQueue::mutex.  The
-  // completion path pops under the queue lock, RELEASES it, and only then
+  // Lock order: _adm_mutex -> _records_mutex -> RunRecord::mutex.  The
+  // completion path pops under the record lock, RELEASES it, and only then
   // takes _adm_mutex - never the reverse.  _done_mutex stays a leaf.
   ExecutorOptions _options;
   const bool _admission_active{false};  // any knob set? computed once
@@ -712,20 +706,20 @@ class Executor : private detail::TopologyClient {
   std::condition_variable _adm_cv;          // backpressure + shed wakeups
   std::size_t _adm_pending{0};              // admitted, not finished/shed
   std::size_t _adm_started{0};              // started on the worker pool
-  std::unordered_map<const Taskflow*, AdmissionClient> _adm_clients;
   // Ready rings (one per band) of clients whose queue head waits for a
   // concurrency slot, and shed-candidate stacks (newest admitted last; the
   // stacks hold weak-ish extra refs and are pruned lazily of runs that
   // started or finished meanwhile).
-  std::deque<std::shared_ptr<ClientQueue>> _adm_ready[kNumPriorities];
+  std::deque<std::shared_ptr<RunRecord>> _adm_ready[kNumPriorities];
   std::vector<std::shared_ptr<Topology>> _adm_shed_stack[kNumPriorities];
   std::atomic<std::size_t> _adm_admitted{0};
   std::atomic<std::size_t> _adm_rejected{0};
   std::atomic<std::size_t> _adm_shed{0};
   std::atomic<std::size_t> _adm_breaker_trips{0};
 
-  mutable std::mutex _clients_mutex;  // registry of per-taskflow run queues
-  std::unordered_map<const Taskflow*, std::shared_ptr<ClientQueue>> _clients;
+  mutable std::mutex _records_mutex;  // registry of per-taskflow run records
+  std::unordered_map<const Taskflow*, std::shared_ptr<RunRecord>> _records;
+  std::size_t _records_kept{0};  // survivors of the last idle sweep
 
   // Weak registry of every submitted/dispatched graph run.  Completing
   // workers never touch it (their last action must stay finish(); see

@@ -207,7 +207,7 @@ class Topology {
 
   // -- executor-managed run state (see Executor::on_topology_done) ---------
   detail::TopologyClient* _client{nullptr};  // notified at each run completion
-  void* _client_tag{nullptr};                // ClientQueue* / AsyncRun*, per kind
+  void* _client_tag{nullptr};                // RunRecord* / AsyncRun*, per kind
   std::shared_ptr<void> _client_hold;        // keeps the tagged object alive
   RunKind _kind{RunKind::dispatched};
   std::size_t _remaining{1};                 // repeats left (run_n)

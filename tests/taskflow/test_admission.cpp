@@ -506,6 +506,81 @@ TEST(Admission, BreakerOpensAfterConsecutiveFailuresAndRejects) {
   EXPECT_EQ(healthy_ran.load(), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Run records: one per (executor, taskflow), kept across runs; idle ones
+// are reclaimed by an amortized sweep, never on the run path.
+// ---------------------------------------------------------------------------
+
+TEST(Admission, RepeatedRunsKeepOneRunRecord) {
+  tf::ExecutorOptions opts;
+  opts.max_pending_per_client = 4;
+  tf::Executor executor(2, opts);
+  tf::Taskflow flow;
+  std::atomic<int> runs{0};
+  flow.emplace([&] { runs++; });
+  constexpr int kRuns = 10000;
+  std::vector<tf::ExecutionHandle> window;
+  for (int i = 0; i < kRuns; ++i) {
+    window.push_back(executor.run(flow));
+    if (window.size() == 4) {
+      for (auto& h : window) h.get();
+      window.clear();
+    }
+    ASSERT_EQ(executor.num_run_records(), 1u) << "run " << i;
+  }
+  for (auto& h : window) h.get();
+  EXPECT_EQ(runs.load(), kRuns);
+  EXPECT_EQ(executor.num_admitted(), static_cast<std::size_t>(kRuns));
+  EXPECT_EQ(executor.num_run_records(), 1u);
+}
+
+TEST(Admission, ManyOneShotTaskflowsLeaveTheRecordTableBounded) {
+  tf::ExecutorOptions opts;
+  opts.max_pending_per_client = 1;
+  tf::Executor executor(2, opts);
+  // All taskflows stay alive, so every one is a distinct key: only the
+  // idle sweep can keep the table small.
+  constexpr std::size_t kFlows = 10000;
+  std::vector<std::unique_ptr<tf::Taskflow>> flows;
+  flows.reserve(kFlows);
+  std::atomic<std::size_t> runs{0};
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    flows.push_back(std::make_unique<tf::Taskflow>());
+    flows.back()->emplace([&] { runs++; });
+    executor.run(*flows.back()).get();
+    peak = std::max(peak, executor.num_run_records());
+  }
+  EXPECT_EQ(runs.load(), kFlows);
+  EXPECT_LE(peak, 16u);
+  // A reclaimed taskflow simply gets a fresh record on its next run.
+  executor.run(*flows.front()).get();
+  EXPECT_EQ(runs.load(), kFlows + 1);
+}
+
+TEST(Admission, OpenBreakerSurvivesAnIdlePeriod) {
+  tf::ExecutorOptions opts;
+  opts.breaker_threshold = 1;
+  opts.breaker_cooldown = 1h;  // stays open for the whole test
+  tf::Executor executor(2, opts);
+  tf::Taskflow failing;
+  failing.emplace([] { throw Boom(); });
+  EXPECT_THROW(executor.run(failing).get(), Boom);
+  EXPECT_EQ(executor.num_breaker_trips(), 1u);
+
+  // Idle period: the failing taskflow submits nothing while other clients
+  // churn enough records to trigger several sweeps.
+  std::vector<std::unique_ptr<tf::Taskflow>> others;
+  for (int i = 0; i < 200; ++i) {
+    others.push_back(std::make_unique<tf::Taskflow>());
+    others.back()->emplace([] {});
+    executor.run(*others.back()).get();
+  }
+  EXPECT_LE(executor.num_run_records(), 16u);
+  EXPECT_EQ(executor.metrics().breakers_open, 1u);
+  EXPECT_THROW((void)executor.run(failing), tf::BreakerOpenError);
+}
+
 TEST(Admission, BreakerHalfOpenProbeSuccessCloses) {
   tf::ExecutorOptions opts;
   opts.breaker_threshold = 1;

@@ -249,6 +249,40 @@ TEST_P(Composition, ModuleGraphsUnderAdmissionShedding) {
 // through the future instead of a stack overflow.
 // ---------------------------------------------------------------------------
 
+// A module copy inherits the target's cached acyclicity verdict, and the
+// first expansion records it on the target.  Mutating the target after
+// that clears it: the parent's own graph is unchanged (its cached verdict
+// lets the run start), so the cycle surfaces from the expansion, through
+// the run's future.
+TEST_P(Composition, TargetMutatedAfterExpansionFailsThroughTheFuture) {
+  tf::Executor executor(make());
+  tf::Taskflow target;
+  std::atomic<int> runs{0};
+  auto a = target.emplace([&] { runs++; });
+  auto b = target.emplace([&] { runs++; });
+  b.precede(a);  // backward-built: the first check takes the full sweep
+  tf::Taskflow parent;
+  parent.composed_of(target).name("module");
+  EXPECT_FALSE(target.graph().acyclic());
+  executor.run(parent).get();
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_TRUE(target.graph().acyclic());
+  executor.run(parent).get();
+  EXPECT_EQ(runs.load(), 4);
+
+  a.precede(b);  // closes the cycle a <-> b inside the target
+  ASSERT_FALSE(target.graph().acyclic());  // else the expansion would deadlock
+  auto handle = executor.run(parent);
+  ASSERT_EQ(handle.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  try {
+    handle.get();
+    ADD_FAILURE() << "expected tf::CycleError from the module expansion";
+  } catch (const tf::CycleError& e) {
+    EXPECT_NE(std::string(e.what()).find("module"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(runs.load(), 4);
+}
+
 TEST(CompositionGuard, SelfCompositionThrowsAtBuildTime) {
   tf::Taskflow flow;
   std::atomic<int> ran{0};

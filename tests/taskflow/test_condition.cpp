@@ -372,6 +372,51 @@ TEST_P(Condition, DeadlineExpiryBreaksTheLoop) {
   EXPECT_GE(laps.load(), 1);
 }
 
+// The acyclicity verdict is cached on the graph after an accepted run, so a
+// repeat run of an unchanged graph skips the check; every structural
+// mutation must clear it, or the next run would deadlock instead of throw.
+TEST_P(Condition, BackEdgeAddedAfterARunThrowsOnTheNextRun) {
+  tf::Executor executor(make());
+  tf::Taskflow flow;
+  std::atomic<int> runs{0};
+  auto a = flow.emplace([&] { runs++; });
+  auto b = flow.emplace([&] { runs++; });
+  a.precede(b);
+  executor.run(flow).get();
+  EXPECT_TRUE(flow.graph().acyclic());
+  executor.run(flow).get();  // unchanged graph: the cached verdict holds
+  EXPECT_EQ(runs.load(), 4);
+
+  b.precede(a);  // back edge: a pure static cycle
+  ASSERT_FALSE(flow.graph().acyclic());  // else the run below would deadlock
+  EXPECT_THROW((void)executor.run(flow), tf::CycleError);
+  EXPECT_EQ(runs.load(), 4);
+  EXPECT_EQ(executor.num_topologies(), 0u);
+}
+
+TEST_P(Condition, LoopConditionTurnedStaticFailsTheNextRun) {
+  tf::Executor executor(make());
+  tf::Taskflow flow;
+  std::atomic<int> laps{0};
+  auto init = flow.emplace([&] { laps = 0; });
+  auto body = flow.emplace([&] { laps++; });
+  auto cond = flow.emplace([&] { return laps.load() < 3 ? 0 : 1; });
+  auto done = flow.emplace([] {});
+  init.precede(body);
+  body.precede(cond);
+  cond.precede(body, done);
+  executor.run(flow).get();
+  EXPECT_EQ(laps.load(), 3);
+
+  // The back edge cond -> body turns strong: body and cond now wait on
+  // each other, a static cycle the cached verdict must not hide.
+  cond.work([] {});
+  EXPECT_FALSE(cond.is_condition());
+  ASSERT_FALSE(flow.graph().acyclic());  // else the run below would deadlock
+  EXPECT_THROW((void)executor.run(flow), tf::CycleError);
+  EXPECT_EQ(executor.num_topologies(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, Condition,
                          ::testing::Values("work_stealing", "simple"),
                          [](const auto& info) { return std::string(info.param); });

@@ -173,7 +173,9 @@ TEST_P(ShutdownStorm, AbortReadiesShedAndQueuedHandles) {
 TEST_P(ShutdownStorm, HalfOpenBreakerProbeSurvivesDrain) {
   tf::ExecutorOptions opts;
   opts.breaker_threshold = 2;
-  opts.breaker_cooldown = 1ms;
+  // Long enough that the open-breaker rejection below cannot race the
+  // cooldown on a loaded host (as in test_admission's breaker tests).
+  opts.breaker_cooldown = 50ms;
   tf::Executor executor(make(2), opts);
   std::atomic<bool> gate{false};
   GateOpener opener(gate);
@@ -191,7 +193,7 @@ TEST_P(ShutdownStorm, HalfOpenBreakerProbeSurvivesDrain) {
   EXPECT_EQ(executor.num_breaker_trips(), 1u);
   EXPECT_THROW((void)executor.run(flaky), tf::BreakerOpenError);  // open
 
-  std::this_thread::sleep_for(2ms);  // past the cooldown: half-open
+  std::this_thread::sleep_for(60ms);  // past the cooldown: half-open
   heal = true;
   auto probe = executor.run(flaky);  // the single half-open probe, parked
 
