@@ -1,24 +1,17 @@
-// bench_micro_steal - microbenchmark of the steal pass itself (DESIGN.md
-// §14), in two contention shapes, each runnable with the locality layer off
-// (mode 0: flat round-robin sweep) or on (mode 1: adaptive victim selection
-// + slab-affine placement + pinned workers):
+// bench_micro_steal - microbenchmark of the steal pass itself (Algorithm 1:
+// last victim first, then a sweep of the other workers from a random
+// start), in two contention shapes:
 //
 //   * one-producer/N-thieves: a single linear chain rides one worker's cache
 //     while every chain step sprays leaf tasks into that worker's queue -
-//     all other workers live exclusively off steals from one hot victim.
-//     The adaptive order should converge onto that victim after a few EWMA
-//     updates and stop probing the empty queues of fellow thieves.
+//     all other workers live exclusively off steals from one hot victim, so
+//     the remembered-last-victim probe should hit almost every time.
 //
 //   * all-to-all churn: W independent chains (one per worker) each spraying
 //     leaves every step - every queue is both a steal source and a steal
-//     target, so the victim scores keep shifting and the sweep-width
-//     backoff, not the EWMA ranking, carries the win.
+//     target, so the random-start sweep carries the load.
 //
-// Counters: steals split by locality tier (core/node/remote + central-queue
-// claims), raw probe attempts, and the success rate attempts bought - the
-// direct measure of how much victim-selection quality improved.  Tier and
-// attempt counters only exist on the adaptive path; mode 0 reports the
-// aggregate steal count alone.
+// Counter: the aggregate successful steal count.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -28,33 +21,6 @@
 #include "taskflow/taskflow.hpp"
 
 namespace {
-
-tf::WorkStealingOptions steal_options(int mode) {
-  tf::WorkStealingOptions opt;
-  if (mode == 1) {
-    opt.pin_workers = true;
-    opt.adaptive_steal = true;
-    opt.slab_affinity = true;
-  }
-  return opt;
-}
-
-void report_steal_counters(
-    benchmark::State& state,
-    const std::shared_ptr<tf::WorkStealingExecutor>& ws) {
-  state.counters["steals"] = static_cast<double>(ws->num_steals());
-  const auto attempts = ws->num_steal_attempts();
-  if (attempts == 0) return;  // flat mode: probes are not counted
-  state.counters["steal_attempts"] = static_cast<double>(attempts);
-  state.counters["steal_success"] =
-      static_cast<double>(ws->num_steals()) / static_cast<double>(attempts);
-  state.counters["steals_core"] = static_cast<double>(ws->num_tier_steals(0));
-  state.counters["steals_node"] = static_cast<double>(ws->num_tier_steals(1));
-  state.counters["steals_remote"] = static_cast<double>(ws->num_tier_steals(2));
-  state.counters["steals_central"] = static_cast<double>(ws->num_tier_steals(3));
-  state.counters["slab_placements"] =
-      static_cast<double>(ws->num_slab_placements());
-}
 
 // One chain of `steps` nodes; each step also releases `spray` independent
 // leaves.  The chain advances through the producing worker's cache, so the
@@ -85,26 +51,21 @@ void run_producer_chain(const std::shared_ptr<tf::ExecutorInterface>& exec,
 }
 
 void BM_StealOneProducer(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  auto executor = tf::make_executor(workers, steal_options(mode));
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  auto executor = tf::make_executor(workers);
   constexpr int kSteps = 128;
   constexpr int kSpray = 8;
   for (auto _ : state) run_producer_chain(executor, 1, kSteps, kSpray);
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kSteps * (kSpray + 1),
       benchmark::Counter::kIsRate);
-  report_steal_counters(state, executor);
+  state.counters["steals"] = static_cast<double>(executor->num_steals());
 }
-BENCHMARK(BM_StealOneProducer)
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StealOneProducer)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_StealAllToAll(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  auto executor = tf::make_executor(workers, steal_options(mode));
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  auto executor = tf::make_executor(workers);
   constexpr int kSteps = 32;
   constexpr int kSpray = 4;
   const int chains = static_cast<int>(workers);
@@ -112,12 +73,9 @@ void BM_StealAllToAll(benchmark::State& state) {
   state.counters["tasks/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * chains * kSteps * (kSpray + 1),
       benchmark::Counter::kIsRate);
-  report_steal_counters(state, executor);
+  state.counters["steals"] = static_cast<double>(executor->num_steals());
 }
-BENCHMARK(BM_StealAllToAll)
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StealAllToAll)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

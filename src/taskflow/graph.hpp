@@ -245,40 +245,6 @@ class GraphArena {
     _slabs.shrink_to_fit();
   }
 
-  /// Identity of the slab containing `p` - its base address - or 0 when `p`
-  /// was not carved from this arena.  O(num_slabs) scan, cheap because slab
-  /// growth is geometric (even a million-node graph holds a few dozen
-  /// slabs); used only by the opt-in slab-affinity scheduler path
-  /// (DESIGN.md §14), never on the default hot path.
-  [[nodiscard]] std::uintptr_t slab_cookie(const void* p) const noexcept {
-    const std::byte* q = static_cast<const std::byte*>(p);
-    for (const Slab& s : _slabs) {
-      if (q >= s.data && q < s.data + s.size) {
-        return reinterpret_cast<std::uintptr_t>(s.data);
-      }
-    }
-    return 0;
-  }
-
-  /// Half-open address range of the slab containing `p`, {nullptr, nullptr}
-  /// when `p` was not carved from this arena.  Lets the scheduler cache one
-  /// slab membership test as two pointer compares (slab ranges of live
-  /// arenas never overlap, so the range identifies the slab globally)
-  /// instead of re-running the cookie scan per task.
-  struct SlabSpan {
-    const std::byte* base{nullptr};
-    const std::byte* end{nullptr};
-  };
-  [[nodiscard]] SlabSpan slab_span(const void* p) const noexcept {
-    const std::byte* q = static_cast<const std::byte*>(p);
-    for (const Slab& s : _slabs) {
-      if (q >= s.data && q < s.data + s.size) {
-        return SlabSpan{s.data, s.data + s.size};
-      }
-    }
-    return SlabSpan{};
-  }
-
   // Introspection for tests and reports.
   [[nodiscard]] std::size_t bytes_reserved() const noexcept {
     std::size_t n = 0;
@@ -397,14 +363,6 @@ class Node {
 
   /// True once this node has spawned a (non-empty or empty) subflow.
   [[nodiscard]] bool has_subgraph() const noexcept { return _subgraph != nullptr; }
-
-  /// The arena slab this node lives in (see Graph::slab_cookie); 0 when the
-  /// node has no owning graph.
-  [[nodiscard]] std::uintptr_t slab_cookie() const noexcept;
-
-  /// Address range of that slab ({nullptr, nullptr} without an owning
-  /// graph); lets callers cache slab membership as two pointer compares.
-  [[nodiscard]] detail::GraphArena::SlabSpan slab_span() const noexcept;
 
   /// True when a retry policy or fallback is attached (Task::retry/fallback).
   [[nodiscard]] bool has_policy() const noexcept { return _policy != nullptr; }
@@ -633,20 +591,6 @@ class Graph {
   void set_node_name(const Node& node, std::string name);
   [[nodiscard]] const std::string& node_name(const Node& node) const noexcept;
 
-  /// The arena slab a node lives in (slab base address as an opaque id; 0
-  /// for a node not of this graph).  The physical-home query behind the
-  /// scheduler's slab-affine placement: two nodes with equal non-zero
-  /// cookies share one contiguous slab of graph memory.
-  [[nodiscard]] std::uintptr_t slab_cookie(const Node& node) const noexcept {
-    return _arena.slab_cookie(&node);
-  }
-
-  /// Address range of the slab a node lives in (see GraphArena::slab_span).
-  [[nodiscard]] detail::GraphArena::SlabSpan slab_span(
-      const Node& node) const noexcept {
-    return _arena.slab_span(&node);
-  }
-
   // Arena introspection for tests and memory reports.
   [[nodiscard]] std::size_t arena_bytes_reserved() const noexcept {
     return _arena.bytes_reserved();
@@ -689,15 +633,6 @@ inline const std::string& Node::name() const noexcept {
 inline void Node::set_name(std::string n) {
   assert(_graph != nullptr);
   _graph->set_node_name(*this, std::move(n));
-}
-
-inline std::uintptr_t Node::slab_cookie() const noexcept {
-  return _graph == nullptr ? 0 : _graph->slab_cookie(*this);
-}
-
-inline detail::GraphArena::SlabSpan Node::slab_span() const noexcept {
-  return _graph == nullptr ? detail::GraphArena::SlabSpan{}
-                           : _graph->slab_span(*this);
 }
 
 namespace detail {

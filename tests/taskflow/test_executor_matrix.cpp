@@ -95,6 +95,36 @@ TEST_P(ExecutorMatrix, AlgorithmsProduceExactResults) {
   EXPECT_EQ(sum, expected);
 }
 
+// A contended steal storm with an exact result: a chain rides one worker's
+// cache while each step sprays independent leaves into that worker's queue,
+// so every other worker lives off steals.  Each round adds steps * (1 +
+// spray) exactly once, whichever worker ran each task.
+TEST_P(ExecutorMatrix, SprayChainStealStormExactCount) {
+  auto executor = make();
+  constexpr int kRounds = 10;
+  constexpr int kSteps = 32;
+  constexpr int kSpray = 4;
+  std::atomic<long> value{0};
+  for (int r = 0; r < kRounds; ++r) {
+    tf::Taskflow tf(executor);
+    auto sink = tf.emplace([] {});
+    tf::Task prev;
+    for (int s = 0; s < kSteps; ++s) {
+      auto step = tf.emplace([&value] { value.fetch_add(1, std::memory_order_relaxed); });
+      if (s > 0) prev.precede(step);
+      for (int l = 0; l < kSpray; ++l) {
+        auto leaf = tf.emplace([&value] { value.fetch_add(1, std::memory_order_relaxed); });
+        step.precede(leaf);
+        leaf.precede(sink);
+      }
+      prev = step;
+    }
+    prev.precede(sink);
+    tf.wait_for_all();
+  }
+  EXPECT_EQ(value.load(), long{kRounds} * kSteps * (1 + kSpray));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, ExecutorMatrix,
     ::testing::Values(MatrixParam{1, true, 1.0 / 64}, MatrixParam{1, false, 0.0},

@@ -176,16 +176,18 @@ TEST_P(ShutdownStorm, HalfOpenBreakerProbeSurvivesDrain) {
   // Long enough that the open-breaker rejection below cannot race the
   // cooldown on a loaded host (as in test_admission's breaker tests).
   opts.breaker_cooldown = 50ms;
-  tf::Executor executor(make(2), opts);
+  // Everything a run reads is declared before the executor, so an early
+  // unwind drains the executor while the flags and the taskflow still live;
+  // the opener comes after it, so the gate opens before ~Executor drains.
   std::atomic<bool> gate{false};
-  GateOpener opener(gate);
-
-  tf::Taskflow flaky;
   std::atomic<bool> heal{false};
+  tf::Taskflow flaky;
   flaky.emplace([&] {
     if (!heal.load()) throw Boom{};
     spin_until(gate);  // the healed probe parks so shutdown races it
   });
+  tf::Executor executor(make(2), opts);
+  GateOpener opener(gate);
 
   for (int i = 0; i < 2; ++i) {
     EXPECT_THROW(executor.run(flaky).get(), Boom);
